@@ -45,8 +45,9 @@ bench-smoke:
 # routes sharing one tracer and registry live in ./internal/core and
 # ./internal/obs), the concurrent routing service, the gcr command, and the
 # public API (verifier always on there). TestMulticoreDigestProperty runs
-# here under -short: it forces the sharded fold-in on and is the test that
-# puts the fold workers under the race detector.
+# here under -short: it routes its corpus at Workers 1, 2 and 8 and is the
+# test that puts the parallel best-partner scan workers under the race
+# detector.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/obs/... ./internal/activity/... ./internal/serve/... ./internal/cluster/... ./internal/lru/... ./cmd/gcr/... ./cmd/gcrd/... .
 

@@ -130,11 +130,12 @@ func BenchmarkConstructScaling(b *testing.B) {
 }
 
 // BenchmarkConstructMulticore is the Workers dimension of the scaling
-// series: the same N=16384 instance routed with 1, 2, 4 and 8 fold-in
-// workers. Trees are bit-identical across the row (the digest tests pin
-// that); only the wall clock may move. On a single-vCPU host the >1 rows
-// measure the coordination overhead of the sharded fold-in, not a
-// speed-up — read them together with the host's core count.
+// series: the same N=16384 instance routed with 1, 2, 4 and 8 workers for
+// the best-partner scans (the initial scan and the stale rescans; the
+// fold-in is serial). Trees and counters are identical across the row (the
+// digest tests pin that); only the wall clock may move. On a single-vCPU
+// host the >1 rows measure the fan-out overhead, not a speed-up — read
+// them together with the host's core count.
 func BenchmarkConstructMulticore(b *testing.B) {
 	bm, err := gatedclock.GenerateBenchmark(gatedclock.BenchmarkConfig{
 		Name: "mc", NumSinks: 16384, Seed: 1, StreamLen: 2000,

@@ -558,9 +558,9 @@ func (r *router) parallelFor(n int, fn func(i int) error) error {
 
 // parallelForW is parallelFor with a worker identity: fn additionally
 // receives the index w (0 ≤ w < workers) of the goroutine running it, so
-// callers can hand each worker private scratch (walk heaps, fold-in
-// accumulators) without locking. The serial path — one worker, or too few
-// items to be worth the fan-out — always reports w = 0.
+// callers can hand each worker private scratch (the best-partner walkers)
+// without locking. The serial path — one worker, or too few items to be
+// worth the fan-out — always reports w = 0.
 func (r *router) parallelForW(n int, fn func(i, w int) error) error {
 	if r.workers <= 1 || n < 64 {
 		for i := 0; i < n; i++ {

@@ -142,35 +142,20 @@ type greedyState struct {
 	deps   [][]int32     // deps[p] = IDs whose best partner is p
 	depPos []int32       // position of id within deps[best[id].partner]
 
-	// Per-worker search scratch (walk heaps, fold-in walkers) plus the
-	// sharded fold-in's serial-probe walker and hoisted shard closure;
-	// foldSeed/foldLevel carry the probe result and frontier level into
-	// the closure. gridScr pools every grid allocation across rebuilds.
-	scratch   []searchScratch
-	probeFold foldWalker
-	shardFn   func(i, w int) error
-	foldSeed  cand
-	foldLevel int
-	gridScr   *spatialScratch
+	// Per-worker best-partner walkers, the serial fold-in's walker, and
+	// gridScr, which pools every grid allocation across rebuilds.
+	scratch []searchScratch
+	fold    foldWalker
+	gridScr *spatialScratch
 
-	// Flat per-ID views of the immutable node state the indexed path's
-	// candidate filter reads: rotated merging-segment midpoints and radii,
-	// the unconditional zero-length-edge cost floor (fZU — includes the
-	// control-star term when the §4.3 forced-insertion rule pins the edge
-	// to a gate) and the per-λ wire-weight floor. Filled once per node at
-	// indexAdd so the hot filter touches contiguous float64 slices instead
-	// of TRRs and interface calls.
-	fU, fW, fRad []float64
-	fZU, fWf     []float64
-	// Per-arm partner floors of the star modes: fGF is the exact
-	// zero-length cost of a gated edge into the node (attach + control
-	// star), fA its attach capacitance for the ungated arm (charged at
-	// parentP ≥ either side's P). +Inf marks an arm the gating policy
-	// rules out for that node.
-	fGF, fA []float64
+	// recs[id] is the candidate record of node id — the immutable terms
+	// the indexed path's candidate filter reads (see candRec and
+	// indexRegister), filled once per node so the filter touches plain
+	// floats instead of TRRs and interface calls.
+	recs []candRec
 
 	// Gating-policy shape resolved at attachIndex (polMode) plus the
-	// scalars the fZU fill rule needs: the per-λ clock wire capacitance
+	// scalars the zu fill rule needs: the per-λ clock wire capacitance
 	// and the forced-insertion threshold (polReduce only).
 	polMode  int
 	cWire    float64
@@ -446,7 +431,7 @@ func (r *router) pairCostBounded(a, b *topology.Node, threshold float64) (float6
 }
 
 // pairCostGated is pairCostBounded without the partner-independent first
-// filter: the indexed path runs the tighter flat-array floor (candFloor)
+// filter: the indexed path runs the tighter candRec floor (scanCell)
 // before the memo probe, so repeating the looser filter here would be pure
 // overhead. Evaluation path identical to pairCost.
 func (r *router) pairCostGated(a, b *topology.Node, threshold float64) (float64, bool, error) {

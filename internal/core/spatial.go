@@ -9,10 +9,9 @@
 //
 // Candidates live in the cells as cache-line-sized records (candRec): the
 // seven floats the hot filter reads travel together, so scanning a cell
-// streams contiguous memory instead of gathering from six flat arrays.
-// The flat arrays are kept as the registration source of truth and as a
-// differential seam — spatialLayoutSoA switches the scan loops back to
-// gathered loads so tests can prove both layouts route bit-identically.
+// streams contiguous memory instead of gathering per-ID terms through an
+// indirection. One per-ID candRec table is the registration source of
+// truth; the cells hold resident copies of its entries.
 //
 // Two bound families drive the pruning (both derived in DESIGN.md §11):
 //
@@ -24,11 +23,11 @@
 //     gated trees. Whenever the §4.3 forced-insertion rule is certain to
 //     fire — SubtreeCap ≥ Cap ≥ ForceCap at any merge distance — the edge
 //     is gated under every possible partner and the star term enters the
-//     node's unconditional floor fZU; otherwise fZU falls back to
+//     node's unconditional floor zu; otherwise zu falls back to
 //     AttachCap·P, which both gating arms dominate (an ungated edge is
-//     charged at parentP ≥ P). On top of fZU, the star modes bound the
+//     charged at parentP ≥ P). On top of zu, the star modes bound the
 //     partner side by the minimum over its two gating arms: gated pays the
-//     full star cost fGF plus wire at min(P_q, P_m); ungated pays attach
+//     full star cost gf plus wire at min(P_q, P_m); ungated pays attach
 //     and wire at parentP ≥ P_q. Either way the distance term carries at
 //     least the query's own activity — stop radii no longer depend on the
 //     laziest node in the index.
@@ -51,12 +50,11 @@
 //     exhaustive scan and the reference greedy.
 //   - All index mutations (insert, remove, rebuild, floor updates) happen
 //     in the serial sections of the merge loop; parallel phases only read.
-//   - The parallel fold-in shards disjoint regions across workers and
-//     reduces their results under the same (cost, then partner ID) order.
-//     A candidate that could become the fold's argmin, tie it, or improve
-//     some best[n] is never pruned under any schedule (its bound can
-//     exceed neither threshold), so the reduced result and the applied
-//     improvements are schedule-independent: Workers=N is bit-identical.
+//   - Workers parallelise only the best-partner searches (the initial scan
+//     and the stale rescans), each of which reads the index and writes its
+//     own node's memo row. The fold-in is one serial walk. Every search,
+//     and so every counter, is the same under any schedule: Workers=N is
+//     bit-identical to Workers=1.
 //
 // Methods whose pair cost has no geometric component (ActivityDriven
 // orders merges by signal probability alone) and tiny or fully degenerate
@@ -64,6 +62,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -78,19 +77,6 @@ import (
 // the fault-injection suite keeps exercising the dense-memo path.
 var spatialMinSinks = 128
 
-// spatialLayoutSoA switches the cell-scan loops from the cache-resident
-// candRec fields (AoS) back to gathered loads from the flat per-ID arrays
-// (SoA). Both layouts hold the same immutable values, so routing is
-// bit-identical either way; the seam exists for differential tests and
-// layout benchmarks. Set only between routes (test-only).
-var spatialLayoutSoA = false
-
-// parallelFoldMinAlive gates the sharded fold-in: below this many indexed
-// nodes the serial walk is faster than the fan-out, and small instances
-// keep a single deterministic code path. Package variable so tests can
-// lower it to exercise the parallel fold on small instances.
-var parallelFoldMinAlive = 2048
-
 // usesSpatialIndex reports whether the method's pair cost admits the
 // geometric bound the index prunes with. ActivityDriven orders merges
 // by the merged signal probability, which no midpoint distance bounds.
@@ -98,7 +84,7 @@ func usesSpatialIndex(m Method) bool {
 	return m == MinSwitchedCap || m == MinClockCapOnly || m == GreedyDistance
 }
 
-// Gating-policy shapes the flat candidate filter distinguishes. The star
+// Gating-policy shapes the candidate filter distinguishes. The star
 // modes (polAll, polReduce, polOpaque) are the MinSwitchedCap + GatedTree
 // configurations whose gated edges carry the control-star term.
 const (
@@ -110,11 +96,12 @@ const (
 	polOpaque         // unknown Policy — minimum over both gating arms
 )
 
-// candRec is one indexed candidate, resident in its grid cell: the seven
-// floats the admissible filter reads plus the node ID, padded to one cache
-// line so a cell scan streams exactly len(cell) lines. All fields are
-// immutable copies of the flat per-ID arrays (a node's merging segment and
-// floor terms never change after creation).
+// candRec is one indexed candidate: the seven floats the admissible filter
+// reads plus the node ID, padded to one cache line so a cell scan streams
+// exactly len(cell) lines. greedyState.recs holds one per ID (filled by
+// indexRegister); each grid cell holds resident copies of its occupants'
+// records. All fields are immutable — a node's merging segment and floor
+// terms never change after creation.
 type candRec struct {
 	u, w, rad float64 // rotated MS midpoint and Chebyshev radius
 	zu, wf    float64 // unconditional zero-length floor, per-λ wire weight
@@ -149,18 +136,16 @@ type regionAgg struct {
 }
 
 // spatialScratch pools every allocation the grid needs across rebuilds:
-// one aggregate slab for all regions of all levels, plus the cell headers,
-// record slabs and the parallel fold-in's frontier list. Owned by one
-// greedyState; rebuilds recycle it, so O(log n) rebuilds cost O(1)
-// steady-state allocations.
+// one aggregate slab for all regions of all levels, plus the cell headers
+// and record slabs. Owned by one greedyState; rebuilds recycle it, so
+// O(log n) rebuilds cost O(1) steady-state allocations.
 type spatialScratch struct {
-	agg      []regionAgg
-	cellOf   []int32
-	cells    [][]candRec
-	cellCnt  []int32
-	recs     []candRec
-	frontier []int32
-	levels   []qlevel
+	agg     []regionAgg
+	cellOf  []int32
+	cells   [][]candRec
+	cellCnt []int32
+	recs    []candRec
+	levels  []qlevel
 }
 
 // spatialIndex buckets live nodes into a uniform grid over rotated
@@ -354,11 +339,12 @@ type queryCtx struct {
 }
 
 func (g *greedyState) makeQuery(q int) queryCtx {
-	ci, cj := g.idx.coords(g.fU[q], g.fW[q])
+	rec := &g.recs[q]
+	ci, cj := g.idx.coords(rec.u, rec.w)
 	return queryCtx{
 		q: int32(q), qci: ci, qcj: cj,
-		qU: g.fU[q], qW: g.fW[q], qRad: g.fRad[q],
-		qZU: g.fZU[q], qWf: g.fWf[q],
+		qU: rec.u, qW: rec.w, qRad: rec.rad,
+		qZU: rec.zu, qWf: rec.wf,
 		distMode: g.polMode == polDist,
 		starMode: g.polMode >= polAll,
 		cWire:    g.cWire,
@@ -422,63 +408,9 @@ func (x *spatialIndex) regionLB(qc *queryCtx, l int, rg int32, bd int) float64 {
 	return lb
 }
 
-// candFloor returns an admissible lower bound on pairCost(q, m) from the
-// flat per-node arrays: the midpoint Chebyshev distance minus the two
-// radii lower-bounds the merging-segment distance (WireCap is linear),
-// the query side contributes its unconditional zero-length floor fZU plus
-// wire at its own weight, and the partner side is the minimum over its
-// two gating arms — gated pays fGF[m] plus wire at min(P_q, P_m), ungated
-// pays AttachCap and wire at parentP ≥ max(P_q, P_m) ≥ P_q. Arms a mode
-// rules out carry +Inf in fGF/fA and drop out of the minimum. Runs before
-// the memo probe — pruning a memoized candidate is harmless, because the
-// bound proves its cached cost loses the argmin anyway. This is the
-// reference form of the filter both cell-scan loops inline (regionLB is
-// its region-aggregate form). Read-only; safe from parallel scans.
-func (g *greedyState) candFloor(q, m int) float64 {
-	du := g.fU[q] - g.fU[m]
-	if du < 0 {
-		du = -du
-	}
-	dw := g.fW[q] - g.fW[m]
-	if dw > du {
-		du = dw
-	} else if -dw > du {
-		du = -dw
-	}
-	dlb := du - g.fRad[q] - g.fRad[m]
-	if dlb < 0 {
-		dlb = 0
-	}
-	qWf := g.fWf[q]
-	switch {
-	case g.polMode == polDist:
-		return dlb
-	case g.polMode >= polAll:
-		wf := qWf
-		if g.fWf[m] < wf {
-			wf = g.fWf[m]
-		}
-		lb := g.fGF[m] + g.cWire*dlb*wf
-		pm := qWf
-		if g.fWf[m] > pm {
-			pm = g.fWf[m]
-		}
-		if u := g.fA[m]*pm + g.cWire*dlb*qWf; u < lb {
-			lb = u
-		}
-		return g.fZU[q] + lb
-	default:
-		wf := qWf
-		if g.fWf[m] < wf {
-			wf = g.fWf[m]
-		}
-		return g.fZU[q] + g.fZU[m] + g.cWire*dlb*wf
-	}
-}
-
 // attachIndex decides whether this instance takes the indexed path and, if
 // so, builds the grid over the initial sinks, resolves the gating-policy
-// mode of the flat candidate filter, switches the greedy state to
+// mode of the candidate filter, switches the greedy state to
 // per-neighborhood memo rows, and lays out the per-worker search scratch
 // and the memo/dependent slabs. Degenerate instances (all sinks at one
 // rotated midpoint) stay on the exhaustive path.
@@ -518,13 +450,7 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 	g.rows = make([][]memoEntry, capIDs)
 	g.deps = make([][]int32, capIDs)
 	g.depPos = make([]int32, capIDs)
-	g.fU = make([]float64, capIDs)
-	g.fW = make([]float64, capIDs)
-	g.fRad = make([]float64, capIDs)
-	g.fZU = make([]float64, capIDs)
-	g.fWf = make([]float64, capIDs)
-	g.fGF = make([]float64, capIDs)
-	g.fA = make([]float64, capIDs)
+	g.recs = make([]candRec, capIDs)
 	// Row and dependent-list slabs: one contiguous carve per sink (merge
 	// nodes recycle freed rows first), three-index capped so append growth
 	// reallocates off-slab instead of aliasing a neighbor.
@@ -536,24 +462,6 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 	}
 	g.scratch = make([]searchScratch, w)
 	g.gridScr = &spatialScratch{}
-	// Hoisted once: the parallel fold-in's shard body. Each item resets the
-	// worker's walker to the probe seed, walks one frontier region, and
-	// folds the result into the worker accumulator — so every pruning
-	// decision depends only on the item, never on which worker ran it.
-	g.shardFn = func(i, wk int) error {
-		fw := &g.scratch[wk].fold
-		fw.ck, fw.found = g.foldSeed, true
-		rg := g.idx.scr.frontier[i]
-		fw.region(g.foldLevel, rg, g.idx.regionBD(&fw.qc, g.foldLevel, rg))
-		if fw.err != nil {
-			return fw.err
-		}
-		if c := fw.ck; c.cost < fw.ckAcc.cost ||
-			(c.cost == fw.ckAcc.cost && c.partner.ID < fw.ckAcc.partner.ID) {
-			fw.ckAcc = c
-		}
-		return nil
-	}
 	for _, n := range sinks {
 		r.indexRegister(g, n)
 		g.assignRow(n.ID)
@@ -564,38 +472,37 @@ func (r *router) attachIndex(g *greedyState, sinks []*topology.Node) {
 	g.idx.builtAt = g.idx.count
 }
 
-// indexRegister fills the flat per-ID filter views of node n: rotated
-// merging-segment key, floor terms, and the star modes' per-arm partner
-// floors. The unconditional zero-length floor fZU is AttachCap·P — what
-// both gating arms dominate — upgraded to the full gated-edge cost
-// including the control star whenever the edge is certainly gated: always
-// under gating.All, and under gating.Reduction when Cap ≥ ForceCap makes
-// the forced-insertion rule fire at any merge distance.
+// indexRegister fills node n's candRec: rotated merging-segment key, floor
+// terms, and the star modes' per-arm partner floors. The unconditional
+// zero-length floor zu is AttachCap·P — what both gating arms dominate —
+// upgraded to the full gated-edge cost including the control star
+// whenever the edge is certainly gated: always under gating.All, and
+// under gating.Reduction when Cap ≥ ForceCap makes the forced-insertion
+// rule fire at any merge distance.
 //
-// The star modes additionally split the node's floor by gating arm. fGF
-// is the exact zero-length cost of a gated edge into the node — Equation 3
+// The star modes additionally split the node's floor by gating arm. gf is
+// the exact zero-length cost of a gated edge into the node — Equation 3
 // charges it AttachCap·P plus the control-star term, independent of any
-// partner. fA is its attach capacitance, the ungated arm's zero-length
+// partner. a is its attach capacitance, the ungated arm's zero-length
 // multiplier of parentP. An arm the mode rules out holds +Inf: a
-// certainly-gated edge has no ungated arm (fA), gating.None has no gated
-// one (fGF). Serial sections only.
+// certainly-gated edge has no ungated arm (a), gating.None has no gated
+// one (gf). Serial sections only.
 func (r *router) indexRegister(g *greedyState, n *topology.Node) {
-	id := n.ID
-	u, w, rad := n.MSKey()
-	g.fU[id], g.fW[id], g.fRad[id] = u, w, rad
-	zero, wf := r.lbFloor(n)
-	g.fZU[id], g.fWf[id] = zero, wf
-	g.fGF[id], g.fA[id] = math.Inf(1), math.Inf(1)
+	rec := &g.recs[n.ID]
+	rec.u, rec.w, rec.rad = n.MSKey()
+	rec.zu, rec.wf = r.lbFloor(n)
+	rec.gf, rec.a = math.Inf(1), math.Inf(1)
+	rec.id = int32(n.ID)
 	if g.polMode >= polAll {
 		if g.polMode != polNever {
 			p := &r.opts.Tech
 			star := r.controller.StarDist(n.MS.Center())
-			g.fGF[id] = n.AttachCap*n.P + (p.CtrlCapPerLambda*star+p.Gate.Cin)*n.Ptr
+			rec.gf = n.AttachCap*n.P + (p.CtrlCapPerLambda*star+p.Gate.Cin)*n.Ptr
 		}
 		if g.polMode == polAll || (g.polMode == polReduce && g.forceCap > 0 && n.Cap >= g.forceCap) {
-			g.fZU[id] = g.fGF[id] // certainly gated: the star is unconditional
+			rec.zu = rec.gf // certainly gated: the star is unconditional
 		} else {
-			g.fA[id] = n.AttachCap // the ungated arm stays possible
+			rec.a = n.AttachCap // the ungated arm stays possible
 		}
 	}
 }
@@ -609,15 +516,10 @@ func (r *router) indexAdd(g *greedyState, n *topology.Node) {
 	g.assignDeps(n.ID)
 }
 
-// indexEnter inserts an already-registered node into the current grid as a
-// cache-line record built from its flat-array terms.
+// indexEnter inserts an already-registered node's record into the current
+// grid.
 func (g *greedyState) indexEnter(id int32) {
-	g.idx.insert(candRec{
-		u: g.fU[id], w: g.fW[id], rad: g.fRad[id],
-		zu: g.fZU[id], wf: g.fWf[id],
-		gf: g.fGF[id], a: g.fA[id],
-		id: id,
-	})
+	g.idx.insert(g.recs[id])
 }
 
 // populateIndex bulk-loads every alive node into a freshly built grid.
@@ -640,7 +542,7 @@ func (g *greedyState) populateIndex() {
 		if !ok {
 			continue
 		}
-		ci, cj := idx.coords(g.fU[id], g.fW[id])
+		ci, cj := idx.coords(g.recs[id].u, g.recs[id].w)
 		cnt[cj*idx.cols+ci]++
 		total++
 	}
@@ -680,8 +582,9 @@ func (r *router) rebuildIndex(g *greedyState) {
 			continue
 		}
 		survivors++
-		minU, maxU = math.Min(minU, g.fU[id]), math.Max(maxU, g.fU[id])
-		minW, maxW = math.Min(minW, g.fW[id]), math.Max(maxW, g.fW[id])
+		u, w := g.recs[id].u, g.recs[id].w
+		minU, maxU = math.Min(minU, u), math.Max(maxU, u)
+		minW, maxW = math.Min(minW, w), math.Max(maxW, w)
 	}
 	g.idx = newSpatialGrid(g.gridScr, len(g.byID), minU, maxU, minW, maxW, survivors)
 	g.populateIndex()
@@ -695,6 +598,45 @@ func (r *router) rebuildIndex(g *greedyState) {
 		}
 	}
 	r.stats.IndexRebuilds++
+}
+
+// children lists the live child regions of region rg at level l, sorted
+// nearest-first by (grid distance, then region index) — the deterministic
+// visit order of both walkers. At l == len(x.levels) it lists the live
+// top-level regions instead: the top of the pyramid is at most 2×2 by
+// construction, so it is the child block of one virtual root region.
+func (x *spatialIndex) children(qc *queryCtx, l int, rg int32) (kids [4]int32, bds [4]int, cnt int) {
+	ri, rj := 0, 0
+	if l < len(x.levels) {
+		lv := &x.levels[l]
+		ri, rj = int(rg)%lv.cols, int(rg)/lv.cols
+	}
+	cl := l - 1
+	clv := &x.levels[cl]
+	for cj := rj * 2; cj <= rj*2+1 && cj < clv.rows; cj++ {
+		for ci := ri * 2; ci <= ri*2+1 && ci < clv.cols; ci++ {
+			crg := int32(cj*clv.cols + ci)
+			if clv.agg[crg].count == 0 {
+				continue
+			}
+			kids[cnt] = crg
+			bds[cnt] = x.regionBD(qc, cl, crg)
+			cnt++
+		}
+	}
+	sortNearest(kids[:cnt], bds[:cnt])
+	return kids, bds, cnt
+}
+
+// sortNearest insertion-sorts ≤4 regions by (grid distance, then region
+// index) — the deterministic nearest-first visit order.
+func sortNearest(rgs []int32, bds []int) {
+	for i := 1; i < len(rgs); i++ {
+		for j := i; j > 0 && (bds[j] < bds[j-1] || (bds[j] == bds[j-1] && rgs[j] < rgs[j-1])); j-- {
+			bds[j], bds[j-1] = bds[j-1], bds[j]
+			rgs[j], rgs[j-1] = rgs[j-1], rgs[j]
+		}
+	}
 }
 
 // searchWalker is the best-partner search's region walker: a nearest-first
@@ -731,26 +673,12 @@ func (sw *searchWalker) reset(r *router, g *greedyState, n *topology.Node, qc qu
 	sw.err = nil
 }
 
-// walkRoots descends from the top-level regions, nearest-first. The top of
-// the pyramid is at most 2×2 by construction.
-func (sw *searchWalker) walkRoots() {
-	idx := sw.g.idx
-	top := len(idx.levels) - 1
-	lv := &idx.levels[top]
-	var order [4]int32
-	var bds [4]int
-	cnt := 0
-	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
-		if lv.agg[rg].count == 0 {
-			continue
-		}
-		order[cnt] = rg
-		bds[cnt] = idx.regionBD(&sw.qc, top, rg)
-		cnt++
-	}
-	sortNearest(order[:cnt], bds[:cnt])
+// descend walks the live children of region rg at level l nearest-first;
+// descend(len(levels), 0) walks the whole pyramid from its roots.
+func (sw *searchWalker) descend(l int, rg int32) {
+	kids, bds, cnt := sw.g.idx.children(&sw.qc, l, rg)
 	for i := 0; i < cnt; i++ {
-		sw.region(top, order[i], bds[i])
+		sw.region(l-1, kids[i], bds[i])
 		if sw.err != nil {
 			return
 		}
@@ -758,14 +686,13 @@ func (sw *searchWalker) walkRoots() {
 }
 
 // region walks one region of level l at grid distance bd: discard, scan
-// (level 0), or recurse into the live children nearest-first.
+// (level 0), or descend into the live children nearest-first.
 func (sw *searchWalker) region(l int, rg int32, bd int) {
 	if l == 0 && rg == sw.seed {
 		return // home cell: scanned before the descent started
 	}
 	idx := sw.g.idx
-	lv := &idx.levels[l]
-	occ := lv.agg[rg].count
+	occ := idx.levels[l].agg[rg].count
 	if occ == 0 {
 		return
 	}
@@ -778,37 +705,26 @@ func (sw *searchWalker) region(l int, rg int32, bd int) {
 		sw.scanCell(rg)
 		return
 	}
-	cl := l - 1
-	clv := &idx.levels[cl]
-	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
-	var kids [4]int32
-	var bds [4]int
-	cnt := 0
-	for cj2 := rj * 2; cj2 <= rj*2+1 && cj2 < clv.rows; cj2++ {
-		for ci2 := ri * 2; ci2 <= ri*2+1 && ci2 < clv.cols; ci2++ {
-			crg := int32(cj2*clv.cols + ci2)
-			if clv.agg[crg].count == 0 {
-				continue
-			}
-			kids[cnt] = crg
-			bds[cnt] = idx.regionBD(&sw.qc, cl, crg)
-			cnt++
-		}
-	}
-	sortNearest(kids[:cnt], bds[:cnt])
-	for i := 0; i < cnt; i++ {
-		sw.region(cl, kids[i], bds[i])
-		if sw.err != nil {
-			return
-		}
-	}
+	sw.descend(l, rg)
 }
 
 // scanCell streams one cell's candidate records through the admissible
 // filter, the memo and the gated evaluation, folding each survivor into
-// the running (cost, then partner ID) argmin. candFloor is the reference
-// form of the filter arithmetic (it sits beyond the inliner's budget, so
-// the terms are inlined here over one cache-line record per candidate).
+// the running (cost, then partner ID) argmin.
+//
+// The filter lower-bounds pairCost(q, m): the midpoint Chebyshev distance
+// minus the two radii lower-bounds the merging-segment distance (WireCap
+// is linear); the query side contributes its unconditional zero-length
+// floor zu plus wire at its own weight; in the star modes the partner
+// side is the minimum over its two gating arms — gated pays gf plus wire
+// at min(P_q, P_m), ungated pays a and wire at parentP ≥ max(P_q, P_m) ≥
+// P_q. Arms a mode rules out carry +Inf and drop out of the minimum.
+// regionLB is the region-aggregate form of the same bound. The filter
+// runs before the memo probe — pruning a memoized candidate is harmless,
+// because the bound proves its cached cost loses the argmin anyway. It is
+// written out here and in the fold-in's scanCell rather than shared: as a
+// function it sits beyond the inliner's budget and would put a call in the
+// hottest loop.
 func (sw *searchWalker) scanCell(c int32) {
 	g, r, n := sw.g, sw.r, sw.n
 	q := n.ID
@@ -816,7 +732,6 @@ func (sw *searchWalker) scanCell(c int32) {
 	qU, qW, qRad := sw.qc.qU, sw.qc.qW, sw.qc.qRad
 	qZU, qWf := sw.qc.qZU, sw.qc.qWf
 	distMode, starMode, cWire := sw.qc.distMode, sw.qc.starMode, sw.qc.cWire
-	soa := spatialLayoutSoA
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
@@ -824,50 +739,41 @@ func (sw *searchWalker) scanCell(c int32) {
 			continue
 		}
 		sw.examined++
-		var mu, mw, mrad, mzu, mwf, mgf, ma float64
-		if !soa {
-			mu, mw, mrad = rec.u, rec.w, rec.rad
-			mzu, mwf, mgf, ma = rec.zu, rec.wf, rec.gf, rec.a
-		} else {
-			mu, mw, mrad = g.fU[id], g.fW[id], g.fRad[id]
-			mzu, mwf = g.fZU[id], g.fWf[id]
-			mgf, ma = g.fGF[id], g.fA[id]
-		}
 		if sw.found {
-			du := qU - mu
+			du := qU - rec.u
 			if du < 0 {
 				du = -du
 			}
-			if dw := qW - mw; dw > du {
+			if dw := qW - rec.w; dw > du {
 				du = dw
 			} else if -dw > du {
 				du = -dw
 			}
-			dlb := du - qRad - mrad
+			dlb := du - qRad - rec.rad
 			if dlb < 0 {
 				dlb = 0
 			}
 			lb := dlb
 			if starMode {
 				wf := qWf
-				if mwf < wf {
-					wf = mwf
+				if rec.wf < wf {
+					wf = rec.wf
 				}
-				lb = mgf + cWire*dlb*wf
+				lb = rec.gf + cWire*dlb*wf
 				pm := qWf
-				if mwf > pm {
-					pm = mwf
+				if rec.wf > pm {
+					pm = rec.wf
 				}
-				if u := ma*pm + cWire*dlb*qWf; u < lb {
+				if u := rec.a*pm + cWire*dlb*qWf; u < lb {
 					lb = u
 				}
 				lb += qZU
 			} else if !distMode {
 				wf := qWf
-				if mwf < wf {
-					wf = mwf
+				if rec.wf < wf {
+					wf = rec.wf
 				}
-				lb = qZU + mzu + cWire*dlb*wf
+				lb = qZU + rec.zu + cWire*dlb*wf
 			}
 			if dominated(lb, sw.out.cost) {
 				sw.skipped++
@@ -908,21 +814,17 @@ func (sw *searchWalker) scanCell(c int32) {
 	}
 }
 
-// searchScratch is one worker's private search state: the best-partner
-// walker and the fold-in walker, padded apart so adjacent workers never
-// share a cache line.
+// searchScratch is one worker's private best-partner walker, padded apart
+// so adjacent workers never share a cache line.
 type searchScratch struct {
 	search searchWalker
-	fold   foldWalker
 	_      [64]byte
 }
 
 // improvement is one deferred best-table rewrite discovered by a fold-in
-// walk: cost(id, k) was strictly below best[id] at walk time. Deferring
-// the applies (sorted by id, strict-< at apply time) makes the serial and
-// sharded fold-ins produce identical best tables: an improvement can never
-// be pruned under any schedule, duplicates collapse under strict <, and
-// apply order is fixed by the sort.
+// walk: cost(id, k) was strictly below best[id] at walk time. Applying
+// them only after the walk, in sorted-id order, keeps best[] — and the
+// region maxima the walk prunes against — fixed while the walk runs.
 type improvement struct {
 	id   int32
 	cost float64
@@ -933,7 +835,7 @@ type improvement struct {
 // then lets the searchWalker descend the pyramid nearest-first, discarding
 // every region whose admissible bound strictly dominates the running best.
 // The neighborhood examined tracks the local density, not N. Candidates go
-// through the same flat admissible filter, memo and gated bound, under the
+// through the same admissible filter, memo and gated bound, under the
 // same (cost, then partner ID) argmin as the exhaustive scan; strict-
 // dominance pruning never discards a potential tie, so the returned cand
 // is bit-identical to the exhaustive one. Safe to call concurrently for
@@ -948,7 +850,7 @@ func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (ca
 		sw.scanCell(rg0)
 	}
 	if sw.err == nil {
-		sw.walkRoots()
+		sw.descend(len(idx.levels), 0)
 	}
 	if sw.err != nil {
 		return cand{}, sw.err
@@ -973,19 +875,13 @@ func (r *router) bestPartnerIndexed(g *greedyState, n *topology.Node, w int) (ca
 // therefore provably holds neither k's partner nor an improvable node.
 // Until a first ck exists nothing is pruned — k must always end up with a
 // partner, however expensive.
-//
-// In probe mode the walker stops after the first scanned cell that yields
-// a candidate, seeding the sharded fold-in with a near (hence tight)
-// initial ck. The same walker instance is then reused per shard item.
 type foldWalker struct {
 	r     *router
 	g     *greedyState
 	k     *topology.Node
 	qc    queryCtx
 	ck    cand
-	ckAcc cand // per-worker reduce accumulator under (cost, partner ID)
 	found bool
-	probe bool
 	imps  []improvement
 
 	examined, pops  int
@@ -993,61 +889,32 @@ type foldWalker struct {
 	err             error
 }
 
-func (fw *foldWalker) reset(r *router, g *greedyState, k *topology.Node, qc queryCtx, probe bool) {
-	fw.r, fw.g, fw.k, fw.qc, fw.probe = r, g, k, qc, probe
-	fw.ck, fw.ckAcc, fw.found = cand{}, cand{}, false
+func (fw *foldWalker) reset(r *router, g *greedyState, k *topology.Node, qc queryCtx) {
+	fw.r, fw.g, fw.k, fw.qc = r, g, k, qc
+	fw.ck, fw.found = cand{}, false
 	fw.imps = fw.imps[:0]
 	fw.examined, fw.pops = 0, 0
 	fw.skipped, fw.cached = 0, 0
 	fw.err = nil
 }
 
-// walkRoots descends from the top-level regions, nearest-first. The top of
-// the pyramid is at most 2×2 by construction.
-func (fw *foldWalker) walkRoots() {
-	idx := fw.g.idx
-	top := len(idx.levels) - 1
-	lv := &idx.levels[top]
-	var order [4]int32
-	var bds [4]int
-	cnt := 0
-	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
-		if lv.agg[rg].count == 0 {
-			continue
-		}
-		order[cnt] = rg
-		bds[cnt] = idx.regionBD(&fw.qc, top, rg)
-		cnt++
-	}
-	sortNearest(order[:cnt], bds[:cnt])
+// descend walks the live children of region rg at level l nearest-first;
+// descend(len(levels), 0) walks the whole pyramid from its roots.
+func (fw *foldWalker) descend(l int, rg int32) {
+	kids, bds, cnt := fw.g.idx.children(&fw.qc, l, rg)
 	for i := 0; i < cnt; i++ {
-		fw.region(top, order[i], bds[i])
-		if fw.err != nil || (fw.probe && fw.found) {
+		fw.region(l-1, kids[i], bds[i])
+		if fw.err != nil {
 			return
 		}
 	}
 }
 
-// sortNearest insertion-sorts ≤4 regions by (grid distance, then region
-// index) — the deterministic nearest-first visit order.
-func sortNearest(rgs []int32, bds []int) {
-	for i := 1; i < len(rgs); i++ {
-		for j := i; j > 0 && (bds[j] < bds[j-1] || (bds[j] == bds[j-1] && rgs[j] < rgs[j-1])); j-- {
-			bds[j], bds[j-1] = bds[j-1], bds[j]
-			rgs[j], rgs[j-1] = rgs[j-1], rgs[j]
-		}
-	}
-}
-
 // region walks one region of level l at grid distance bd: discard, scan
-// (level 0), or recurse into the live children nearest-first.
+// (level 0), or descend into the live children nearest-first.
 func (fw *foldWalker) region(l int, rg int32, bd int) {
-	if fw.err != nil || (fw.probe && fw.found) {
-		return
-	}
 	idx := fw.g.idx
-	lv := &idx.levels[l]
-	ag := &lv.agg[rg]
+	ag := &idx.levels[l].agg[rg]
 	if ag.count == 0 {
 		return
 	}
@@ -1066,44 +933,21 @@ func (fw *foldWalker) region(l int, rg int32, bd int) {
 		fw.scanCell(rg)
 		return
 	}
-	cl := l - 1
-	clv := &idx.levels[cl]
-	ri, rj := int(rg)%lv.cols, int(rg)/lv.cols
-	var kids [4]int32
-	var bds [4]int
-	cnt := 0
-	for cj2 := rj * 2; cj2 <= rj*2+1 && cj2 < clv.rows; cj2++ {
-		for ci2 := ri * 2; ci2 <= ri*2+1 && ci2 < clv.cols; ci2++ {
-			crg := int32(cj2*clv.cols + ci2)
-			if clv.agg[crg].count == 0 {
-				continue
-			}
-			kids[cnt] = crg
-			bds[cnt] = idx.regionBD(&fw.qc, cl, crg)
-			cnt++
-		}
-	}
-	sortNearest(kids[:cnt], bds[:cnt])
-	for i := 0; i < cnt; i++ {
-		fw.region(cl, kids[i], bds[i])
-		if fw.err != nil || (fw.probe && fw.found) {
-			return
-		}
-	}
+	fw.descend(l, rg)
 }
 
 // scanCell streams one cell's candidate records through the admissible
-// filter, the owner-first memo and the gated evaluation, folding each
-// survivor into ck and recording strict improvements. The per-candidate
-// prune threshold is the larger of best[id] and ck — a discarded candidate
-// then provably neither becomes ck nor improves best[id].
+// filter (the same bound as searchWalker.scanCell), the owner-first memo
+// and the gated evaluation, folding each survivor into ck and recording
+// strict improvements. The per-candidate prune threshold is the larger of
+// best[id] and ck — a discarded candidate then provably neither becomes ck
+// nor improves best[id].
 func (fw *foldWalker) scanCell(c int32) {
 	g, r, k := fw.g, fw.r, fw.k
 	recs := g.idx.cells[c]
 	qU, qW, qRad := fw.qc.qU, fw.qc.qW, fw.qc.qRad
 	qZU, qWf := fw.qc.qZU, fw.qc.qWf
 	distMode, starMode, cWire := fw.qc.distMode, fw.qc.starMode, fw.qc.cWire
-	soa := spatialLayoutSoA
 	for i := range recs {
 		rec := &recs[i]
 		id := rec.id
@@ -1111,55 +955,46 @@ func (fw *foldWalker) scanCell(c int32) {
 			continue
 		}
 		fw.examined++
-		var mu, mw, mrad, mzu, mwf, mgf, ma float64
-		if !soa {
-			mu, mw, mrad = rec.u, rec.w, rec.rad
-			mzu, mwf, mgf, ma = rec.zu, rec.wf, rec.gf, rec.a
-		} else {
-			mu, mw, mrad = g.fU[id], g.fW[id], g.fRad[id]
-			mzu, mwf = g.fZU[id], g.fWf[id]
-			mgf, ma = g.fGF[id], g.fA[id]
-		}
 		thr := math.Inf(1)
 		if fw.found {
 			thr = g.best[id].cost
 			if fw.ck.cost > thr {
 				thr = fw.ck.cost
 			}
-			du := qU - mu
+			du := qU - rec.u
 			if du < 0 {
 				du = -du
 			}
-			if dw := qW - mw; dw > du {
+			if dw := qW - rec.w; dw > du {
 				du = dw
 			} else if -dw > du {
 				du = -dw
 			}
-			dlb := du - qRad - mrad
+			dlb := du - qRad - rec.rad
 			if dlb < 0 {
 				dlb = 0
 			}
 			lb := dlb
 			if starMode {
 				wf := qWf
-				if mwf < wf {
-					wf = mwf
+				if rec.wf < wf {
+					wf = rec.wf
 				}
-				lb = mgf + cWire*dlb*wf
+				lb = rec.gf + cWire*dlb*wf
 				pm := qWf
-				if mwf > pm {
-					pm = mwf
+				if rec.wf > pm {
+					pm = rec.wf
 				}
-				if u := ma*pm + cWire*dlb*qWf; u < lb {
+				if u := rec.a*pm + cWire*dlb*qWf; u < lb {
 					lb = u
 				}
 				lb += qZU
 			} else if !distMode {
 				wf := qWf
-				if mwf < wf {
-					wf = mwf
+				if rec.wf < wf {
+					wf = rec.wf
 				}
-				lb = qZU + mzu + cWire*dlb*wf
+				lb = qZU + rec.zu + cWire*dlb*wf
 			}
 			if dominated(lb, thr) {
 				fw.skipped++
@@ -1170,7 +1005,7 @@ func (fw *foldWalker) scanCell(c int32) {
 		var cost float64
 		if cc, ok := g.memoGet(int(id), k.ID); ok {
 			// Possible when n was just rescanned and already evaluated its
-			// pairing with k, or when the probe covered this cell.
+			// pairing with k.
 			fw.cached++
 			cost = g.fi.MemoCost(cc)
 			if !(cost >= 0) {
@@ -1201,112 +1036,30 @@ func (fw *foldWalker) scanCell(c int32) {
 	}
 }
 
-// foldInIndexed folds a fresh merge node k into the schedule: k's best
-// partner ck plus every strict improvement of a live node's cached best.
-// Small populations take one serial nearest-first walk. Large ones run the
-// deterministic sharded fold: a serial probe walk finds a near candidate
-// to seed every worker's threshold, the live regions of a level wide
-// enough to feed all workers become the work list, workers self-schedule
-// region walks (each item seeded identically, so its pruning decisions are
-// schedule-independent), and a serial reduce folds the per-worker argmins
-// under the (cost, then partner ID) order and applies the deferred
-// improvements in sorted-id order. Any candidate that could change the
-// outcome is never pruned under any schedule, so Workers=N is
-// bit-identical to Workers=1. Serial sections own all mutations; the
-// parallel phase reads the index and writes only per-owner memo rows and
-// per-worker state.
+// foldInIndexed folds a fresh merge node k into the schedule with one
+// serial nearest-first walk: k's best partner ck plus every strict
+// improvement of a live node's cached best, applied after the walk in
+// sorted-id order. It stays serial on purpose: sharding it across workers
+// gained no speed on a 2-vCPU host and, with each shard pruning against
+// its own running ck, made the work done depend on the worker count
+// (DESIGN.md §13).
 func (r *router) foldInIndexed(g *greedyState, k *topology.Node) error {
-	idx := g.idx
-	qc := g.makeQuery(k.ID)
-	if r.workers <= 1 || len(g.scratch) <= 1 || idx.count < parallelFoldMinAlive {
-		fw := &g.scratch[0].fold
-		fw.reset(r, g, k, qc, false)
-		fw.walkRoots()
-		if fw.err != nil {
-			return fw.err
-		}
-		return g.finishFold(r, k, fw.ck, fw.imps, fw.examined, fw.pops, fw.skipped, fw.cached)
+	fw := &g.fold
+	fw.reset(r, g, k, g.makeQuery(k.ID))
+	fw.descend(len(g.idx.levels), 0)
+	if fw.err != nil {
+		return fw.err
 	}
-	pf := &g.probeFold
-	pf.reset(r, g, k, qc, true)
-	pf.walkRoots()
-	if pf.err != nil {
-		return pf.err
-	}
-	if !pf.found {
-		// No candidate anywhere (k is alone): the probe walk, which never
-		// prunes before a first candidate, already visited everything.
-		return g.finishFold(r, k, pf.ck, pf.imps, pf.examined, pf.pops, pf.skipped, pf.cached)
-	}
-	// Shard over the highest level that still offers a few regions per
-	// worker; the live regions there partition the population.
-	lvl := len(idx.levels) - 1
-	for lvl > 0 && idx.levels[lvl].cols*idx.levels[lvl].rows < 4*len(g.scratch) {
-		lvl--
-	}
-	g.foldLevel = lvl
-	lv := &idx.levels[lvl]
-	fr := idx.scr.frontier[:0]
-	for rg := int32(0); rg < int32(lv.cols*lv.rows); rg++ {
-		if lv.agg[rg].count > 0 {
-			fr = append(fr, rg)
-		}
-	}
-	idx.scr.frontier = fr
-	g.foldSeed = pf.ck
-	for w := range g.scratch {
-		fw := &g.scratch[w].fold
-		fw.reset(r, g, k, qc, false)
-		fw.ck, fw.ckAcc, fw.found = pf.ck, pf.ck, true
-	}
-	if err := r.parallelForW(len(fr), g.shardFn); err != nil {
-		return err
-	}
-	ck := pf.ck
-	imps := pf.imps
-	examined, pops := pf.examined, pf.pops
-	skipped, cached := pf.skipped, pf.cached
-	for w := range g.scratch {
-		fw := &g.scratch[w].fold
-		if fw.err != nil {
-			return fw.err
-		}
-		if a := fw.ckAcc; a.cost < ck.cost || (a.cost == ck.cost && a.partner.ID < ck.partner.ID) {
-			ck = a
-		}
-		imps = append(imps, fw.imps...)
-		examined += fw.examined
-		pops += fw.pops
-		skipped += fw.skipped
-		cached += fw.cached
-	}
-	pf.imps = imps
-	return g.finishFold(r, k, ck, imps, examined, pops, skipped, cached)
-}
-
-// finishFold applies a fold-in's deferred improvements in sorted-id order
-// (strict < at apply time collapses the probe/shard duplicates), flushes
-// the search counters, and records k's own best partner.
-func (g *greedyState) finishFold(r *router, k *topology.Node, ck cand, imps []improvement,
-	examined, pops int, skipped, cached int64) error {
-	slices.SortFunc(imps, func(a, b improvement) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	for _, im := range imps {
+	slices.SortFunc(fw.imps, func(a, b improvement) int { return cmp.Compare(a.id, b.id) })
+	for _, im := range fw.imps {
 		if im.cost < g.best[im.id].cost {
 			g.setBest(int(im.id), cand{partner: k, cost: im.cost})
 		}
 	}
-	r.pairSkipped.Add(skipped)
-	r.pairCached.Add(cached)
-	r.noteSearch(examined, pops)
-	g.setBest(k.ID, ck)
+	r.pairSkipped.Add(fw.skipped)
+	r.pairCached.Add(fw.cached)
+	r.noteSearch(fw.examined, fw.pops)
+	g.setBest(k.ID, fw.ck)
 	return nil
 }
 

@@ -100,29 +100,14 @@ func routeExhaustive(t testing.TB, in *Instance, opts Options) (*topology.Tree, 
 	return tr, s
 }
 
-// routeLayoutSoA routes in with the cell scans switched to the gathered
-// flat-array (SoA) layout — the differential seam of the AoS records. Same
-// caveat as routeExhaustive: package-variable seam, not parallel-safe.
-func routeLayoutSoA(t testing.TB, in *Instance, opts Options) *topology.Tree {
-	t.Helper()
-	spatialLayoutSoA = true
-	defer func() { spatialLayoutSoA = false }()
-	tr, _, err := Route(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
 // TestSpatialMatchesExhaustiveProperty is the differential property test of
-// the tentpole: across 200 random instances — every placement shape, every
-// indexed method, varying sizes and seeds — the spatially indexed greedy
-// must produce the bit-identical tree (same digest, same merge count) as
-// the exhaustive O(n²) scan it replaced, in both candidate layouts (AoS
-// records and gathered SoA). Any admissibility bug in the region or
-// candidate floors, any tie-break divergence in the argmin, and any
-// staleness bug in the incremental insert/remove path shows up here as a
-// digest mismatch.
+// the spatial index: across 200 random instances — every placement shape,
+// every indexed method, varying sizes and seeds — the spatially indexed
+// greedy must produce the bit-identical tree (same digest, same merge
+// count) as the exhaustive O(n²) scan it replaced. Any admissibility bug
+// in the region or candidate floors, any tie-break divergence in the
+// argmin, and any staleness bug in the incremental insert/remove path
+// shows up here as a digest mismatch.
 func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential property test routes 400 instances")
@@ -155,14 +140,6 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 			t.Fatalf("%s: indexed tree %s != exhaustive tree %s",
 				name, fast.Digest()[:12], ref.Digest()[:12])
 		}
-		// Layout differential: the same route with the cell scans reading
-		// the gathered flat arrays (SoA) instead of the resident candRec
-		// fields must not move a single bit.
-		soa := routeLayoutSoA(t, in, opts)
-		if soa.Digest() != ref.Digest() {
-			t.Fatalf("%s: SoA-layout tree %s != exhaustive tree %s",
-				name, soa.Digest()[:12], ref.Digest()[:12])
-		}
 		if fs.IndexSearches > 0 {
 			indexed++
 		}
@@ -172,33 +149,6 @@ func TestSpatialMatchesExhaustiveProperty(t *testing.T) {
 	// decline the index, but the bulk of the cases must exercise it.
 	if indexed < cases*3/4 {
 		t.Errorf("only %d/%d cases used the spatial index", indexed, cases)
-	}
-}
-
-// BenchmarkSpatialLayout measures the tentpole's layout claim head to
-// head: the same routes with cell scans streaming the resident AoS
-// records versus gathering the six flat SoA arrays through cellOf
-// indirections. Both produce bit-identical trees (the property test pins
-// that); only the memory traffic differs.
-func BenchmarkSpatialLayout(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		in := placedInstance(b, "uniform", n, 42)
-		opts := Options{Tech: tech.Default(), Method: MinSwitchedCap, Drivers: GatedTree}
-		for _, soa := range []bool{false, true} {
-			name := fmt.Sprintf("N=%d/aos", n)
-			if soa {
-				name = fmt.Sprintf("N=%d/soa", n)
-			}
-			b.Run(name, func(b *testing.B) {
-				spatialLayoutSoA = soa
-				defer func() { spatialLayoutSoA = false }()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := Route(in, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

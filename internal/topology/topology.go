@@ -195,12 +195,6 @@ func (t *Tree) Validate() error {
 	return err
 }
 
-// Edges visits every edge of the tree as (child owning the edge). The root's
-// incoming edge (from the source) is included.
-func (t *Tree) Edges(visit func(*Node)) {
-	t.Root.PreOrder(visit)
-}
-
 // SetDriver installs a driver at the top of n's incoming edge. gate marks it
 // as a masking AND gate (participating in the controller star and switching
 // with P(EN)); otherwise it is a free-running buffer.
